@@ -1002,18 +1002,6 @@ void EncodeMsg(WireBuffer& w, const Msg& msg) {
 
 namespace {
 
-// Fletcher-16 over `n` bytes.  Detects every single-byte change — which
-// is exactly the corruption a LinkFaultProfile injects — at two bytes of
-// header cost.
-uint16_t Fletcher16(const uint8_t* p, size_t n) {
-  uint32_t lo = 0, hi = 0;
-  for (size_t i = 0; i < n; ++i) {
-    lo = (lo + p[i]) % 255;
-    hi = (hi + lo) % 255;
-  }
-  return static_cast<uint16_t>((hi << 8) | lo);
-}
-
 obs::Counter* CorruptFramesCounter() {
   static obs::Counter* c = obs::Registry::Instance().GetCounter("net.corrupt_frames");
   return c;
@@ -1045,7 +1033,8 @@ void Serialize(const Msg& msg, const obs::TraceContext& trace,
     out.U64(stamp.idem_token);
   }
   EncodeMsg(out, msg);
-  uint16_t ck = Fletcher16(out.data() + kChecksumHeaderBytes, out.size() - kChecksumHeaderBytes);
+  uint16_t ck =
+      util::Fletcher16(out.data() + kChecksumHeaderBytes, out.size() - kChecksumHeaderBytes);
   out.PatchU16(1, ck);
 }
 
@@ -2004,23 +1993,24 @@ std::optional<Msg> Parse(WireView bytes, obs::TraceContext* trace,
   util::ByteReader r(bytes.data(), bytes.size());
   if (trace) *trace = obs::TraceContext{};
   if (stamp) *stamp = DeadlineStamp{};
+  // Every frame must open with a complete, matching checksum header.  A
+  // frame without one is corrupt too: its first byte is where the 0xF4
+  // escape was, so accepting it would let a hit on that byte skip
+  // verification.  Either way: reject and count, never deliver.
+  auto esc = r.U8();
+  auto lo = r.U8();
+  auto hi = r.U8();
+  const bool verified =
+      esc && *esc == kChecksumHeaderTag && lo && hi &&
+      static_cast<uint16_t>(*lo | (static_cast<uint16_t>(*hi) << 8)) ==
+          util::Fletcher16(bytes.data() + kChecksumHeaderBytes,
+                           bytes.size() - kChecksumHeaderBytes);
+  if (!verified) {
+    CorruptFramesCounter()->Inc();
+    return std::nullopt;
+  }
   auto tag = r.U8();
   if (!tag) return std::nullopt;
-  if (*tag == kChecksumHeaderTag) {
-    auto lo = r.U8();
-    auto hi = r.U8();
-    if (!lo || !hi) return std::nullopt;
-    uint16_t want = static_cast<uint16_t>(*lo | (static_cast<uint16_t>(*hi) << 8));
-    uint16_t got = Fletcher16(bytes.data() + kChecksumHeaderBytes,
-                              bytes.size() - kChecksumHeaderBytes);
-    if (want != got) {
-      // Corruption detected in flight: reject and count, never deliver.
-      CorruptFramesCounter()->Inc();
-      return std::nullopt;
-    }
-    tag = r.U8();
-    if (!tag) return std::nullopt;
-  }
   if (*tag == kTraceHeaderTag) {
     auto tid = r.U64();
     auto sid = r.U64();

@@ -908,21 +908,25 @@ using Msg = std::variant<HelloSibling, HelloTool, HelloAck, HelloReject, CreateR
 //                18 EnvarGetReq     19 EnvarGetResp    20 EnvarUpdate
 //                21 EnvarSync       22 EnvarWatchReq   23 EnvarWatchResp
 
-// Trace header escape.  A frame whose first byte is kTraceHeaderTag
-// carries a causal-tracing header (trace id, span id, parent span — see
-// obs/trace.h) between the escape byte and the ordinary message tag.
+// Trace header escape.  A frame whose checksum header is followed by
+// kTraceHeaderTag carries a causal-tracing header (trace id, span id,
+// parent span — see obs/trace.h) between the escape byte and the
+// ordinary message tag.
 // The escape values sit far above the last variant tag, so they can
 // never collide with a message type.
 constexpr uint8_t kTraceHeaderTag = 0xF5;
 constexpr size_t kTraceHeaderBytes = 1 + 3 * 8;  // escape + three u64s
 
-// Integrity header escape.  Every frame Serialize emits now begins with
-// kChecksumHeaderTag followed by a 16-bit Fletcher checksum of all the
-// remaining bytes (trace header included).  Parse verifies it and
-// rejects mismatches, counting them under the "net.corrupt_frames"
-// registry counter, so chaos-injected corruption is *detected* rather
-// than fed to handlers.  Decoding is version-gated: frames without the
-// header (the pre-checksum format) still parse.
+// Integrity header escape.  Every frame Serialize emits begins with
+// kChecksumHeaderTag followed by a 16-bit Fletcher checksum
+// (util::Fletcher16) of all the remaining bytes (trace header included).
+// Parse requires the header and verifies it: a mismatch, a truncated
+// header, or a frame that does not start with the escape at all is
+// rejected and counted under the "net.corrupt_frames" registry counter,
+// so chaos-injected corruption is *detected* rather than fed to
+// handlers.  The header is mandatory because the escape byte itself is
+// exposed to corruption: were header-less frames accepted, a hit on
+// byte 0 would turn a frame into one that is never verified.
 constexpr uint8_t kChecksumHeaderTag = 0xF4;
 constexpr size_t kChecksumHeaderBytes = 1 + 2;  // escape + u16 checksum
 
@@ -945,7 +949,7 @@ constexpr uint8_t kStatUnsubscribeSub = 4;
 // queued work whose origin has already given up is cancelled instead of
 // executed, plus an idempotency token under which the receiver
 // duplicate-suppresses retried mutating requests.  Optional and
-// version-gated like 0xF4/0xF5/0xF6: frames without it parse unchanged,
+// version-gated like 0xF5/0xF6: frames without it parse unchanged,
 // and pre-deadline parsers reject stamped frames cleanly (unknown tag)
 // rather than misdecoding them.
 constexpr uint8_t kDeadlineHeaderTag = 0xF7;
@@ -999,7 +1003,7 @@ std::vector<uint8_t> Serialize(const Msg& msg, const obs::TraceContext& trace,
 
 std::optional<Msg> Parse(WireView bytes);
 // Also surfaces the frame's trace context: *trace is filled from the
-// header when present and zeroed ({}) when not.  Accepts both formats.
+// header when present and zeroed ({}) when not.
 // Decodes in place: the viewed bytes are never copied wholesale.
 std::optional<Msg> Parse(WireView bytes, obs::TraceContext* trace);
 // Also surfaces the frame's deadline stamp the same way: filled when the

@@ -1,5 +1,6 @@
 #include "util/bytes.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ppm::util {
@@ -66,5 +67,21 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 }
 
 uint32_t Crc32(const std::vector<uint8_t>& data) { return Crc32(data.data(), data.size()); }
+
+uint16_t Fletcher16(const uint8_t* data, size_t len) {
+  uint32_t lo = 0, hi = 0;
+  while (len > 0) {
+    const size_t n = std::min(len, kFletcher16Block);
+    for (size_t i = 0; i < n; ++i) {
+      lo += data[i];
+      hi += lo;
+    }
+    lo %= 255;
+    hi %= 255;
+    data += n;
+    len -= n;
+  }
+  return static_cast<uint16_t>((hi << 8) | lo);
+}
 
 }  // namespace ppm::util

@@ -130,4 +130,19 @@ class ByteReader {
 uint32_t Crc32(const uint8_t* data, size_t len);
 uint32_t Crc32(const std::vector<uint8_t>& data);
 
+// Fletcher-16 (both sums mod 255), the integrity checksum of wire frames
+// (core/wire.h, escape 0xF4).  Returns (hi << 8) | lo.  Detects every
+// single-bit flip and every single-byte change except 0x00 <-> 0xFF, the
+// one byte delta that is a multiple of 255.
+//
+// Computed in blocks: `lo` and `hi` run unreduced in 32-bit accumulators
+// and are reduced mod 255 once per kFletcher16Block bytes instead of once
+// per byte.  The result is bit-identical to the bytewise definition
+// (lo = (lo + b) % 255; hi = (hi + lo) % 255) because reduction mod 255
+// commutes with the additions; the block length is the largest for which
+// `hi` cannot pass 2^32 - 1 on all-0xFF input with both sums < 255 on
+// entry: 254 + 254n + 255n(n+1)/2 < 2^32 holds for n = 5802, not 5803.
+constexpr size_t kFletcher16Block = 5802;
+uint16_t Fletcher16(const uint8_t* data, size_t len);
+
 }  // namespace ppm::util

@@ -1,7 +1,10 @@
 // util_test.cc — byte serialization and string helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/strings.h"
@@ -151,6 +154,82 @@ INSTANTIATE_TEST_SUITE_P(Values, BytesPropertyTest,
                                            0x10000ULL, 0xffffffffULL, 0x100000000ULL,
                                            0x7fffffffffffffffULL, 0xffffffffffffffffULL,
                                            0x123456789abcdef0ULL));
+
+// The bytewise definition of Fletcher-16, reduced mod 255 after every
+// byte.  Kept here as an independent oracle for the blocked form.
+struct BytewiseFletcher16 {
+  uint32_t lo = 0, hi = 0;
+  void Add(uint8_t b) {
+    lo = (lo + b) % 255;
+    hi = (hi + lo) % 255;
+  }
+  uint16_t Sum() const { return static_cast<uint16_t>((hi << 8) | lo); }
+};
+
+uint16_t BytewiseFletcher16Of(const std::vector<uint8_t>& bytes) {
+  BytewiseFletcher16 f;
+  for (uint8_t b : bytes) f.Add(b);
+  return f.Sum();
+}
+
+// Every length from 0 to 20000 (three block edges and more: 5801, 5802,
+// 5803, 11604, 17406, ...), on an all-0xFF body — the accumulators'
+// worst case — and on a seeded random one.
+TEST(Fletcher16, MatchesBytewiseDefinitionAtEveryLength) {
+  constexpr size_t kMaxLen = 20000;
+  static_assert(kMaxLen > 3 * kFletcher16Block);
+  std::mt19937_64 rng(0xf1e7c4e5);
+  std::vector<uint8_t> all_ff(kMaxLen, 0xFF);
+  std::vector<uint8_t> random(kMaxLen);
+  for (auto& b : random) b = static_cast<uint8_t>(rng());
+  for (const auto* body : {&all_ff, &random}) {
+    BytewiseFletcher16 ref;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(ref.Sum(), Fletcher16(body->data(), len))
+          << "len " << len << (body == &all_ff ? " all-0xFF" : " random");
+      if (len < kMaxLen) ref.Add((*body)[len]);
+    }
+  }
+}
+
+// The bound the block length rests on: a block that opens with both sums
+// at 254 (the most a reduced state can carry in) and runs on all-0xFF
+// drives `hi` to within 2^32 of overflow.  A first block of zeros ending
+// in 0x00, 0xFE leaves lo = hi = 254 at the edge.
+TEST(Fletcher16, WorstCaseCarryIntoAFullBlock) {
+  std::vector<uint8_t> bytes(kFletcher16Block, 0);
+  bytes[kFletcher16Block - 1] = 0xFE;
+  BytewiseFletcher16 edge;
+  for (uint8_t b : bytes) edge.Add(b);
+  ASSERT_EQ(edge.lo, 254u);
+  ASSERT_EQ(edge.hi, 254u);
+  bytes.insert(bytes.end(), 2 * kFletcher16Block + 1, 0xFF);
+  for (size_t len : {kFletcher16Block, kFletcher16Block + 1, 2 * kFletcher16Block - 1,
+                     2 * kFletcher16Block, 2 * kFletcher16Block + 1, bytes.size()}) {
+    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+    EXPECT_EQ(BytewiseFletcher16Of(prefix), Fletcher16(prefix.data(), prefix.size()))
+        << "len " << len;
+  }
+}
+
+// A single-byte change is caught unless its delta is a multiple of 255:
+// every change but 0x00 <-> 0xFF.  That one blind spot is a property of
+// the mod-255 sums, pinned here so it stays documented.
+TEST(Fletcher16, DetectsEverySingleByteChangeButZeroForFF) {
+  std::vector<uint8_t> bytes(64);
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<uint8_t>(i * 37);
+  bytes[5] = 0xFF;
+  const uint16_t clean = Fletcher16(bytes.data(), bytes.size());
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    const uint8_t was = bytes[pos];
+    for (int x = 1; x < 256; ++x) {
+      bytes[pos] = static_cast<uint8_t>(was ^ x);
+      const bool blind = (was == 0x00 && bytes[pos] == 0xFF) || (was == 0xFF && bytes[pos] == 0x00);
+      EXPECT_EQ(!blind, clean != Fletcher16(bytes.data(), bytes.size())) << pos << " ^ " << x;
+    }
+    bytes[pos] = was;
+  }
+}
 
 TEST(Strings, SplitBasic) {
   auto parts = Split("a,b,c", ',');

@@ -4,12 +4,14 @@
 // seeded generator drives ~10k randomized frames covering every opcode,
 // the STAT escape pair, and both header combinations (checksum only /
 // checksum + trace) through both encoders and asserts the outputs are
-// identical.  Round trips then prove parse(encode(x)) == x through the
-// owning and zero-copy paths alike.  Any intentional format change must
+// identical, plus frames spanning several blocks of the blocked checksum.
+// Round trips then prove parse(encode(x)) == x through the owning and
+// zero-copy paths alike.  Any intentional format change must
 // update the reference encoder here — which is the point: the diff makes
 // the wire change explicit instead of letting it ride along silently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -1031,6 +1033,48 @@ TEST(WireDifferential, BufferReuseIsStateless) {
     Serialize(msg, trace, stamp, fresh);
     ASSERT_EQ(fresh.CopyOut(), reused.CopyOut()) << "iter " << iter;
   }
+}
+
+// Frames longer than one checksum block (util::kFletcher16Block bytes)
+// and than two, where the blocked checksum reduces its sums mid-frame:
+// snapshot replies with hundreds of process records, as a wide
+// collective returns them, and STAT replies with dozens of manager
+// records.  Each must match the reference encoder (and so its bytewise
+// checksum) byte for byte and round-trip through Parse.
+TEST(WireDifferential, MultiBlockFramesMatchReference) {
+  Gen gen(0x16a8'16a8'16a8'16a8ull);
+  WireBuffer buf;
+  size_t largest = 0;
+  size_t multi_block = 0;
+  for (size_t records = 50; records <= 650; records += 25) {
+    SnapshotResp snap;
+    snap.req_id = gen.U64();
+    snap.origin_host = gen.Str(6);
+    snap.replier_host = gen.Str(6);
+    snap.route = gen.StrVec();
+    snap.records.resize(records);
+    for (auto& rec : snap.records) rec = gen.Proc();
+    StatResp stat;
+    stat.req_id = gen.U64();
+    stat.origin_host = gen.Str(6);
+    stat.route = gen.StrVec();
+    stat.records.resize(records / 10);
+    for (auto& rec : stat.records) rec = gen.Stat();
+    for (const Msg& msg : {Msg{snap}, Msg{stat}}) {
+      const obs::TraceContext trace = gen.Trace(records % 50 == 0);
+      const DeadlineStamp stamp = gen.Stamp(records % 100 == 0);
+      const std::vector<uint8_t> want = ref::Serialize(msg, trace, stamp);
+      Serialize(msg, trace, stamp, buf);
+      ASSERT_EQ(want, buf.CopyOut()) << MsgTypeName(msg) << " records " << records;
+      auto parsed = Parse(WireView(buf));
+      ASSERT_TRUE(parsed.has_value()) << MsgTypeName(msg) << " records " << records;
+      ASSERT_TRUE(msg == *parsed) << MsgTypeName(msg) << " records " << records;
+      largest = std::max(largest, want.size());
+      if (want.size() > util::kFletcher16Block + kChecksumHeaderBytes) ++multi_block;
+    }
+  }
+  EXPECT_GT(largest, 2 * util::kFletcher16Block + kChecksumHeaderBytes);
+  EXPECT_GT(multi_block, 10u);
 }
 
 }  // namespace

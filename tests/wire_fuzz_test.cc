@@ -5,8 +5,9 @@
 // plus pure random garbage.  The parser contract under attack: Parse
 // returns nullopt instead of crashing or reading out of bounds (the
 // sanitizer job turns any overread into a failure), and the
-// net.corrupt_frames counter advances exactly when a checksummed frame
-// fails verification — mutation-by-mutation, not approximately.
+// net.corrupt_frames counter advances exactly when a frame fails to open
+// with a complete, matching checksum header — mutation-by-mutation, not
+// approximately.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,10 +35,11 @@ uint16_t Fletcher16(const uint8_t* p, size_t n) {
   return static_cast<uint16_t>((hi << 8) | lo);
 }
 
-// Mirror of Parse's corruption bookkeeping: the counter ticks exactly
-// when a frame long enough to carry the 0xF4 header fails verification.
+// Mirror of Parse's corruption bookkeeping: the header is mandatory, so
+// the counter ticks exactly when a frame does not open with the 0xF4
+// escape, is too short to carry its checksum, or fails verification.
 bool ExpectCorruptTick(const uint8_t* p, size_t len) {
-  if (len < kChecksumHeaderBytes || p[0] != kChecksumHeaderTag) return false;
+  if (len < kChecksumHeaderBytes || p[0] != kChecksumHeaderTag) return true;
   const uint16_t stored = static_cast<uint16_t>(p[1] | (static_cast<uint16_t>(p[2]) << 8));
   return stored != Fletcher16(p + kChecksumHeaderBytes, len - kChecksumHeaderBytes);
 }
@@ -51,10 +53,16 @@ void FixupChecksum(std::vector<uint8_t>& frame) {
 }
 
 // A frame pool with some structural variety: flat messages, nested
-// vectors, the STAT escape, and trace headers.
+// vectors, the STAT escape, trace and deadline headers, the BUSY escape.
 std::vector<std::vector<uint8_t>> FramePool() {
   std::vector<std::vector<uint8_t>> pool;
   pool.push_back(Serialize(Msg{HelloReject{"gone fishing"}}));
+  // A SignalReq with an empty target host (see the escape-byte test).
+  SignalReq sig;
+  sig.req_id = 41;
+  sig.target = {"", 1234};
+  sig.sig = host::Signal::kSigStop;
+  pool.push_back(Serialize(Msg{sig}));
   HelloSibling hs;
   hs.user = "ana";
   hs.origin_host = "vaxA";
@@ -106,9 +114,10 @@ std::vector<std::vector<uint8_t>> FramePool() {
 }
 
 // Every proper prefix of every pool frame.  A truncated frame almost
-// always fails its checksum; when a 16-bit Fletcher collision lets one
-// through, the parser may still reject it structurally — the exactness
-// claim is about the counter, which must follow the checksum verdict.
+// always fails its checksum (and a prefix shorter than the header always
+// does); when a 16-bit Fletcher collision lets one through, the parser
+// may still reject it structurally — the exactness claim is about the
+// counter, which must follow the checksum verdict.
 TEST(WireFuzz, TruncatedFramesNeverCrashAndCountExactly) {
   for (const auto& frame : FramePool()) {
     for (size_t cut = 0; cut < frame.size(); ++cut) {
@@ -124,17 +133,20 @@ TEST(WireFuzz, TruncatedFramesNeverCrashAndCountExactly) {
   }
 }
 
-// Single-bit flips anywhere past the escape tag.  Fletcher-16 detects
-// every single-bit change (the delta is a power of two, never ≡ 0 mod
-// 255), so a body flip is always a counter tick; a flip inside the
-// stored checksum bytes mismatches the recomputed sum just the same.
+// Single-bit flips anywhere, the escape tag included.  Fletcher-16
+// detects every single-bit change (the delta is a power of two, never
+// ≡ 0 mod 255), so a body flip is always a counter tick; a flip inside
+// the stored checksum bytes mismatches the recomputed sum just the same,
+// and a flip of byte 0 leaves a frame without the mandatory header.
 TEST(WireFuzz, SingleBitFlipsAreAlwaysDetected) {
   std::mt19937_64 rng(0x5eed);
   for (const auto& frame : FramePool()) {
     for (int iter = 0; iter < 400; ++iter) {
       std::vector<uint8_t> mutated = frame;
-      const size_t pos = 1 + rng() % (mutated.size() - 1);
-      mutated[pos] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      // The first eight iterations flip each bit of byte 0 in turn.
+      const size_t pos = iter < 8 ? 0 : rng() % mutated.size();
+      const unsigned bit = iter < 8 ? static_cast<unsigned>(iter) : rng() % 8;
+      mutated[pos] ^= static_cast<uint8_t>(1u << bit);
       const uint64_t before = CorruptFrames();
       auto msg = Parse(mutated);
       EXPECT_FALSE(msg.has_value()) << "pos " << pos;
@@ -143,17 +155,19 @@ TEST(WireFuzz, SingleBitFlipsAreAlwaysDetected) {
   }
 }
 
-// Flipping the escape tag itself re-types the frame arbitrarily; the
-// only contract left is memory safety and no counter tick (the 0xF4
-// path was never entered).
-TEST(WireFuzz, TagByteFlipsAreMemorySafe) {
+// Any corruption of the escape byte, not only single-bit flips: each of
+// the 255 nonzero XORs of byte 0 must be rejected and counted.  Were
+// header-less frames accepted, the rest of the frame would be decoded
+// unverified: when they were, 4 of these XORs of the pool's SignalReq
+// decoded as a BusyResp, HistoryReq, AdoptReq or TraceReq.
+TEST(WireFuzz, EscapeByteCorruptionIsAlwaysDetected) {
   for (const auto& frame : FramePool()) {
-    for (int bit = 0; bit < 8; ++bit) {
+    for (int x = 1; x < 256; ++x) {
       std::vector<uint8_t> mutated = frame;
-      mutated[0] ^= static_cast<uint8_t>(1u << bit);
+      mutated[0] ^= static_cast<uint8_t>(x);
       const uint64_t before = CorruptFrames();
-      (void)Parse(mutated);
-      EXPECT_EQ(before, CorruptFrames()) << "bit " << bit;
+      EXPECT_FALSE(Parse(mutated).has_value()) << "xor " << x;
+      EXPECT_EQ(before + 1, CorruptFrames()) << "xor " << x;
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/wire.h"
+#include "obs/metrics.h"
 
 namespace ppm::core {
 namespace {
@@ -427,10 +428,17 @@ TEST(Wire, StatUnknownSubByteRejected) {
   auto bytes = Serialize(Msg{req});
   // Flip the sub-byte to something undefined; the checksum must be
   // recomputed or the frame dies earlier for the wrong reason.
-  std::vector<uint8_t> body(bytes.begin() + kChecksumHeaderBytes, bytes.end());
-  body[1] = 0x7e;
-  auto reframed = Parse(body);  // unchecksummed frames are still parsed
-  EXPECT_FALSE(reframed.has_value());
+  bytes[kChecksumHeaderBytes + 1] = 0x7e;
+  const uint16_t ck = util::Fletcher16(bytes.data() + kChecksumHeaderBytes,
+                                       bytes.size() - kChecksumHeaderBytes);
+  bytes[1] = static_cast<uint8_t>(ck);
+  bytes[2] = static_cast<uint8_t>(ck >> 8);
+  const uint64_t corrupt_before =
+      obs::Registry::Instance().GetCounter("net.corrupt_frames")->value();
+  EXPECT_FALSE(Parse(bytes).has_value());
+  // Rejected by the decoder, not by the checksum.
+  EXPECT_EQ(corrupt_before,
+            obs::Registry::Instance().GetCounter("net.corrupt_frames")->value());
 }
 
 TEST(Wire, MsgTypeNamesDistinct) {
