@@ -2113,6 +2113,8 @@ std::optional<Msg> Parse(WireView bytes, obs::TraceContext* trace,
 const char* MsgTypeName(const Msg& msg) { return kMsgTypeNames[msg.index()]; }
 
 const char* ClassifyWireFrame(const uint8_t* frame, size_t len) {
+  if (len > 0 && frame[0] == kLpmRequestMagic) return "LpmRequest";
+  if (len > 0 && frame[0] == kLpmResponseMagic) return "LpmResponse";
   size_t pos = 0;
   if (pos < len && frame[pos] == kChecksumHeaderTag) {
     pos += kChecksumHeaderBytes;

@@ -1014,10 +1014,21 @@ std::optional<Msg> Parse(WireView bytes, obs::TraceContext* trace,
 // Human-readable message type name, for traces and tests.
 const char* MsgTypeName(const Msg& msg);
 
+// The inetd/pmd service protocol (daemon/protocol.h) shares circuits
+// with this codec but not its format: its frames open with a one-byte
+// magic and carry no checksum header.  The magics are repeated here,
+// rather than included, so the codec stays independent of the daemon
+// layer; daemon_test pins them to what LpmRequest/LpmResponse emit.
+// They cannot be mistaken for a codec frame, which always opens with
+// the 0xF4 checksum escape.
+constexpr uint8_t kLpmRequestMagic = 0x51;
+constexpr uint8_t kLpmResponseMagic = 0x52;
+
 // Classifies an encoded circuit frame by its opcode WITHOUT decoding the
-// fields: skips the 0xF4 checksum and 0xF5 trace escapes, then names the
-// message tag ("CreateReq", "StatResp", ...).  Returns a stable pointer
-// usable as a counter-cache key.  Unrecognized tags classify as
+// fields: names the daemon protocol's "LpmRequest"/"LpmResponse" by
+// their magic, otherwise skips the 0xF4 checksum and 0xF5 trace escapes
+// and names the message tag ("CreateReq", "StatResp", ...).  Returns a
+// stable pointer usable as a counter-cache key.  Unrecognized tags classify as
 // "unknown", truncated frames as "malformed" — the classification is
 // total, so per-opcode frame/byte counters partition the net totals
 // exactly.  Installed into net::Network by core::Cluster as the payload

@@ -110,6 +110,7 @@ Network::Network(sim::Simulator& simulator, NetworkParams params)
 HostId Network::AddHost(const std::string& name) {
   HostId id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(HostRec{name, true});
+  InvalidateRoutes();
   adj_[id];  // ensure entry
   next_ephemeral_[id] = kEphemeralBase;
   return id;
@@ -129,6 +130,7 @@ void Network::AddLink(HostId a, HostId b, LinkParams params) {
   link.drops_counter = reg.GetCounter("net.link." + edge + ".drops");
   adj_[a].push_back(b);
   adj_[b].push_back(a);
+  InvalidateRoutes();
 }
 
 const std::string& Network::HostName(HostId h) const {
@@ -157,10 +159,19 @@ const Network::LinkRec* Network::FindLinkConst(HostId a, HostId b) const {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-std::optional<std::vector<HostId>> Network::Route(HostId from, HostId to) const {
-  if (from >= hosts_.size() || to >= hosts_.size()) return std::nullopt;
-  if (!hosts_[from].up || !hosts_[to].up) return std::nullopt;
-  if (from == to) return std::vector<HostId>{from};
+Network::Path Network::Route(HostId from, HostId to) const {
+  if (from >= hosts_.size() || to >= hosts_.size()) return nullptr;
+  auto [it, inserted] = routes_.try_emplace((static_cast<uint64_t>(from) << 32) | to);
+  if (inserted) {
+    ++stats_.routes_computed;
+    it->second = ComputeRoute(from, to);
+  }
+  return it->second;
+}
+
+Network::Path Network::ComputeRoute(HostId from, HostId to) const {
+  if (!hosts_[from].up || !hosts_[to].up) return nullptr;
+  if (from == to) return std::make_shared<const std::vector<HostId>>(1, from);
   // BFS over up links and up intermediate hosts.  Neighbor order is the
   // link-creation order, so routes are deterministic.
   std::unordered_map<HostId, HostId> parent;
@@ -180,12 +191,12 @@ std::optional<std::vector<HostId>> Network::Route(HostId from, HostId to) const 
         std::vector<HostId> path{to};
         for (HostId cur = to; cur != from; cur = parent[cur]) path.push_back(parent[cur]);
         std::reverse(path.begin(), path.end());
-        return path;
+        return std::make_shared<const std::vector<HostId>>(std::move(path));
       }
       frontier.push_back(v);
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::optional<size_t> Network::HopDistance(HostId a, HostId b) const {
@@ -201,9 +212,11 @@ void Network::SetLinkUp(HostId a, HostId b, bool up) {
   PPM_CHECK_MSG(link != nullptr, "no such link");
   if (link->up == up) return;
   link->up = up;
+  InvalidateRoutes();
   if (up) return;
   // Break every established circuit whose endpoints are no longer
-  // mutually reachable.
+  // mutually reachable (one search per distinct pair: the route table
+  // answers the rest).
   for (auto& [id, conn] : conns_) {
     if (conn.dead || !conn.established) continue;
     if (!Route(conn.a.addr.host, conn.b.addr.host)) {
@@ -216,6 +229,7 @@ void Network::SetHostUp(HostId h, bool up) {
   PPM_CHECK(h < hosts_.size());
   if (hosts_[h].up == up) return;
   hosts_[h].up = up;
+  InvalidateRoutes();
   if (up) return;
   // Crash: every bind on the host vanishes; circuits touching it break.
   for (auto it = listeners_.begin(); it != listeners_.end();) {
@@ -277,11 +291,16 @@ void Network::Partition(const std::vector<std::vector<HostId>>& groups) {
 }
 
 void Network::Heal() {
+  // Flips links directly rather than through SetLinkUp, so it forgets
+  // the routes itself.
+  bool changed = false;
   for (auto& [key, link] : links_) {
     if (!link.up) {
       link.up = true;
+      changed = true;
     }
   }
+  if (changed) InvalidateRoutes();
 }
 
 void Network::SetLinkFaults(HostId a, HostId b, LinkFaultProfile profile) {
@@ -569,17 +588,14 @@ void Network::SendFrame(Frame f) {
   Counters().frames_sent->Inc();
   Counters().bytes_sent->Inc(f.payload.size() + kFrameHeaderBytes);
   CountOpFrame(f, f.payload.size() + kFrameHeaderBytes);
-  auto path = Route(f.src.host, f.dst.host);
-  if (!path) {
+  f.path = Route(f.src.host, f.dst.host);
+  if (!f.path) {
     ++stats_.frames_dropped;
     Counters().frames_dropped->Inc();
     return;
   }
-  f.path = std::move(*path);
   f.hop_index = 0;
-  f.route.clear();
-  f.route.push_back(f.src.host);
-  if (f.path.size() == 1) {
+  if (f.path->size() == 1) {
     // Local delivery: no wire, but keep it asynchronous so the event
     // order matches the remote case.
     Frame frame = std::move(f);
@@ -592,8 +608,8 @@ void Network::SendFrame(Frame f) {
 }
 
 void Network::ForwardFrame(Frame f) {
-  HostId u = f.path[f.hop_index];
-  HostId v = f.path[f.hop_index + 1];
+  HostId u = (*f.path)[f.hop_index];
+  HostId v = (*f.path)[f.hop_index + 1];
   if (!hosts_[u].up) {
     ++stats_.frames_dropped;
     Counters().frames_dropped->Inc();
@@ -676,16 +692,15 @@ void Network::TransmitOnLink(LinkRec& link, HostId u, HostId v, Frame f) {
   link.busy_until[dir] = start + static_cast<sim::SimTime>(tx);
 
   Frame frame = std::move(f);
-  frame.route.push_back(v);
   frame.hop_index += 1;
   sim_.ScheduleAt(arrival, [this, frame = std::move(frame)]() mutable {
-    HostId here = frame.path[frame.hop_index];
+    HostId here = (*frame.path)[frame.hop_index];
     if (!hosts_[here].up) {
       ++stats_.frames_dropped;
       Counters().frames_dropped->Inc();
       return;
     }
-    if (frame.hop_index + 1 == frame.path.size()) {
+    if (frame.hop_index + 1 == frame.path->size()) {
       DeliverFrame(std::move(frame));
     } else {
       ForwardFrame(std::move(frame));
@@ -772,8 +787,10 @@ void Network::DeliverFrame(Frame f) {
       Counters().frames_delivered->Inc();
       // Copy before invoking: the handler may unbind itself (one-shot
       // reply sockets do), which would destroy the closure mid-call.
+      // The frame has walked its whole planned path, so the path is the
+      // route it travelled.
       DgramFn fn = it->second;
-      fn(f.src, f.payload, f.route);
+      fn(f.src, f.payload, *f.path);
       return;
     }
     case FrameKind::kSyn: {

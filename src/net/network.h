@@ -9,10 +9,11 @@
 //     per-byte transmission cost; a directed link serializes frames
 //     (a frame occupies the wire for its transmission time, so back to
 //     back frames queue);
-//   * routes are shortest-hop paths recomputed whenever topology or
-//     fault state changes; each delivered frame carries the route it
-//     travelled, which the PPM layer records for source-destination
-//     routing of replies (paper Section 4);
+//   * routes are shortest-hop paths, computed once per directed host
+//     pair and shared by every frame sent between them until the
+//     topology or fault state next changes; each delivered datagram
+//     carries the route it travelled, which the PPM layer records for
+//     source-destination routing of replies (paper Section 4);
 //   * faults: links can be taken down (partitions) and hosts can crash;
 //     frames in flight toward a dead hop are dropped silently, exactly
 //     like datagrams on a partitioned 1986 internet.
@@ -33,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -107,6 +109,9 @@ struct NetStats {
   uint64_t faults_reordered = 0;   // frames held back by a reorder delay
   uint64_t faults_corrupted = 0;   // frames with a payload byte flipped
   uint64_t dup_frames_discarded = 0;  // stale circuit frames suppressed
+  // Route-table misses: shortest-path searches actually run.  Frames
+  // between a pair whose route is cached do not move it.
+  uint64_t routes_computed = 0;
 };
 
 // Adversarial per-link behaviour for chaos testing.  Probabilities are
@@ -237,15 +242,17 @@ class Network {
     obs::Counter* drops_counter = nullptr;
   };
   enum class FrameKind : uint8_t { kSyn, kSynAck, kData, kFin, kRst, kDgram };
+  // A planned path, shared by the route table and every frame that
+  // follows it; nullptr means unreachable.
+  using Path = std::shared_ptr<const std::vector<HostId>>;
   struct Frame {
     FrameKind kind;
     SocketAddr src, dst;
     ConnId conn = kInvalidConn;
     uint64_t seq = 0;  // per-circuit sequence for FIFO reassembly
     std::vector<uint8_t> payload;
-    std::vector<HostId> route;  // filled hop by hop
-    size_t hop_index = 0;       // next index in planned path
-    std::vector<HostId> path;   // planned at send time
+    size_t hop_index = 0;  // index of the host holding the frame in `path`
+    Path path;             // planned at send time
   };
   struct Endpoint {
     SocketAddr addr;
@@ -277,7 +284,15 @@ class Network {
   void CountOpFrame(const Frame& f, size_t wire_bytes);
   LinkRec* FindLink(HostId a, HostId b);
   const LinkRec* FindLinkConst(HostId a, HostId b) const;
-  std::optional<std::vector<HostId>> Route(HostId from, HostId to) const;
+  // The shortest-hop path from `from` to `to` under the current fault
+  // state, served from the route table.  A miss runs ComputeRoute and
+  // keeps the result (unreachable included) until InvalidateRoutes.
+  Path Route(HostId from, HostId to) const;
+  Path ComputeRoute(HostId from, HostId to) const;
+  // Forgets every cached route.  Called by each mutator of the topology
+  // or its fault state, and by nothing else: AddHost, AddLink,
+  // SetLinkUp, SetHostUp and Heal.
+  void InvalidateRoutes() { routes_.clear(); }
   void SendFrame(Frame f);
   void ForwardFrame(Frame f);
   // Puts one frame on the u->v wire, applying the link's corruption and
@@ -303,8 +318,11 @@ class Network {
   std::unordered_map<ConnId, Conn> conns_;
   std::unordered_map<ConnId, PendingConnect> pending_connects_;
   std::unordered_map<HostId, Port> next_ephemeral_;
+  // Route table keyed by the directed pair (from << 32 | to): the BFS
+  // tie-break can pick different hosts in the two directions.
+  mutable std::unordered_map<uint64_t, Path> routes_;
   ConnId next_conn_id_ = 1;
-  NetStats stats_;
+  mutable NetStats stats_;  // mutable for routes_computed, counted in Route()
   PayloadClassFn classify_ = nullptr;
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
+#include "core/wire.h"
 #include "daemon/inetd.h"
 #include "daemon/protocol.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace ppm::daemon {
@@ -267,6 +269,61 @@ TEST(PmdCrashTest, StableStorageIgnoresStaleEntriesAfterHostCrash) {
   auto second = RequestLpm(cluster, "alpha", "alpha", kTestUser, kTestUser);
   ASSERT_TRUE(second && second->ok);
   EXPECT_TRUE(second->created);
+}
+
+// --- per-opcode accounting of the daemon protocol --------------------------
+
+// The codec's classifier repeats the daemon protocol's magics; they must
+// be the first byte of what LpmRequest/LpmResponse emit.
+TEST(DaemonWireAccountingTest, ClassifierNamesBothDaemonFrames) {
+  const std::vector<uint8_t> req = LpmRequest{}.Serialize();
+  const std::vector<uint8_t> resp = LpmResponse{}.Serialize();
+  ASSERT_FALSE(req.empty());
+  ASSERT_FALSE(resp.empty());
+  EXPECT_EQ(req[0], core::kLpmRequestMagic);
+  EXPECT_EQ(resp[0], core::kLpmResponseMagic);
+  EXPECT_STREQ(core::ClassifyWireFrame(req), "LpmRequest");
+  EXPECT_STREQ(core::ClassifyWireFrame(resp), "LpmResponse");
+}
+
+TEST(DaemonWireAccountingTest, ToolSessionLeavesNoUnknownFrames) {
+  obs::Registry& reg = obs::Registry::Instance();
+  reg.Reset();
+  Cluster cluster;
+  cluster.AddHost("alpha");
+  cluster.AddHost("beta");
+  cluster.Link("alpha", "beta");
+  test::InstallTestUser(cluster);
+  cluster.RunFor(sim::Millis(10));
+  // The tool's session goes through alpha's inetd and pmd; the remote
+  // create makes alpha's LPM open a sibling through beta's.
+  tools::PpmClient* client = test::ConnectTool(cluster, "alpha");
+  ASSERT_NE(client, nullptr);
+  std::optional<core::CreateResp> created;
+  client->CreateProcess("beta", "worker", {},
+                        [&](const core::CreateResp& r) { created = r; });
+  ASSERT_TRUE(test::RunUntil(cluster, [&] { return created.has_value(); }));
+  EXPECT_TRUE(created->ok) << created->error;
+  cluster.RunFor(sim::Seconds(1));
+
+  uint64_t op_frames = 0, op_bytes = 0;
+  reg.ForEachCounter([&](const std::string& name, const obs::Counter& c) {
+    if (name.rfind("net.op.", 0) != 0) return;
+    if (name.size() > 7 && name.rfind(".frames") == name.size() - 7) {
+      op_frames += c.value();
+    } else if (name.rfind(".bytes") == name.size() - 6) {
+      op_bytes += c.value();
+    }
+  });
+  auto value = [&](const char* name) {
+    const obs::Counter* c = reg.FindCounter(name);
+    return c ? c->value() : 0;
+  };
+  EXPECT_GE(value("net.op.LpmRequest.frames"), 2u);  // the tool's and the sibling's
+  EXPECT_GE(value("net.op.LpmResponse.frames"), 2u);
+  EXPECT_EQ(value("net.op.unknown.frames"), 0u);
+  EXPECT_EQ(op_frames, value("net.frames.sent"));
+  EXPECT_EQ(op_bytes, value("net.bytes.sent"));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // host_test.cc — the simulated UNIX kernel: processes, signals,
 // adoption, kernel events, load average, calibration.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "host/calibration.h"
@@ -356,7 +358,17 @@ INSTANTIATE_TEST_SUITE_P(
                       Table1Case{HostType::kSun2, 0.5, 8.31},
                       Table1Case{HostType::kSun2, 1.5, 14.13},
                       Table1Case{HostType::kSun2, 2.5, 22.0},
-                      Table1Case{HostType::kSun2, 3.5, 42.7}));
+                      Table1Case{HostType::kSun2, 3.5, 42.7}),
+    // Stable names such as "Vax780_la0_5"; without a generator gtest
+    // prints the parameter's raw bytes, struct padding included.
+    [](const ::testing::TestParamInfo<Table1Case>& info) {
+      const char* type = info.param.type == HostType::kVax780   ? "Vax780"
+                         : info.param.type == HostType::kVax750 ? "Vax750"
+                                                                : "Sun2";
+      const int tenths = static_cast<int>(info.param.la * 10 + 0.5);
+      return std::string(type) + "_la" + std::to_string(tenths / 10) + "_" +
+             std::to_string(tenths % 10);
+    });
 
 TEST(Calibration, DelayMonotonicInLoad) {
   for (HostType t : {HostType::kVax780, HostType::kVax750, HostType::kSun2}) {

@@ -251,7 +251,7 @@ TEST_F(NetTest, DatagramDelivery) {
   net_.SendDgram(a_, 1000, SocketAddr{d_, 53}, {'q'});
   sim_.Run();
   EXPECT_EQ(payload, "q");
-  // Route is recorded hop by hop: a, b, c, d.
+  // The datagram reports the route it travelled: a, b, c, d.
   EXPECT_EQ(route, (std::vector<HostId>{a_, b_, c_, d_}));
 }
 
@@ -337,6 +337,39 @@ TEST_F(NetTest, StatsCountTraffic) {
   EXPECT_EQ(net_.stats().frames_sent, 1u);
   EXPECT_EQ(net_.stats().frames_delivered, 1u);
   EXPECT_GT(net_.stats().bytes_sent, 0u);
+}
+
+TEST_F(NetTest, SteadyStateSendsRunNoRouteSearch) {
+  BuildChain();
+  size_t received = 0;
+  net_.Listen(b_, 99, [&](ConnId, SocketAddr) {
+    ConnCallbacks cb;
+    cb.on_data = [&received](ConnId, const std::vector<uint8_t>&) { ++received; };
+    return cb;
+  });
+  std::optional<ConnId> client;
+  net_.Connect(a_, SocketAddr{b_, 99}, ConnCallbacks{},
+               [&](std::optional<ConnId> c) { client = c; });
+  sim_.Run();
+  ASSERT_TRUE(client.has_value());
+  ASSERT_TRUE(net_.Send(*client, {'w'}));  // the circuit is warm after the handshake
+  sim_.Run();
+
+  const uint64_t warm = net_.stats().routes_computed;
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(net_.Send(*client, {'x'}));
+  sim_.Run();
+  EXPECT_EQ(received, 1001u);
+  EXPECT_EQ(net_.stats().routes_computed, warm);
+
+  // A fault elsewhere changes no a-b path, but the table forgets every
+  // route: the circuit sweep searches a-b once, and later frames reuse it.
+  net_.SetLinkUp(c_, d_, false);
+  EXPECT_EQ(net_.stats().routes_computed, warm + 1);
+  EXPECT_TRUE(net_.ConnAlive(*client));
+  ASSERT_TRUE(net_.Send(*client, {'y'}));
+  sim_.Run();
+  EXPECT_EQ(received, 1002u);
+  EXPECT_EQ(net_.stats().routes_computed, warm + 1);
 }
 
 }  // namespace
